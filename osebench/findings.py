@@ -26,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+import common
+
 N, D, REPS, M, EPSILON = 16384, 64, 2, 1024, 0.25
 REPEATS = 5
 
@@ -39,8 +41,7 @@ def _shares(tracer, layers_of_interest):
 
 
 def main() -> int:
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
+    for name in common.BLAS_ENV:
         os.environ[name] = "1"
     sys.path.insert(0, str(Path("src").resolve()))
     import numpy as np

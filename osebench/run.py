@@ -44,14 +44,13 @@ def main(argv=None) -> int:
         print("osebench: run from the root of a repro checkout "
               "(src/repro not found)", file=sys.stderr)
         return 2
+    import common
+
     # Pin BLAS before numpy loads, here and (via common.child_env) in
     # every child: the trial engine is single-threaded per process.
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
+    for name in common.BLAS_ENV:
         os.environ[name] = "1"
     sys.path.insert(0, str(Path("src").resolve()))
-
-    import common
 
     if args.workload.startswith("search-"):
         import searches as workload

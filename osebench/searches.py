@@ -25,7 +25,7 @@ import numpy as np
 
 import common
 import layers
-from tracing import Tracer, worker_totals
+from tracing import Tracer, worker_totals, write_spans
 
 D, REPS, EPSILON, DELTA, TRIALS = 32, 2, 0.25, 0.2, 100
 
@@ -257,7 +257,8 @@ def traced(workload: str, seed: int, seconds: int,
     delta = counters().diff(before)
     for unit, results in enumerate(outputs):
         bench.check_unit(unit, results, checks, corrupt)
-    tracer.write(common.result_path(f"spans-{workload}.jsonl"))
+    write_spans(tracer.measured(),
+                common.result_path(f"spans-{workload}.jsonl"))
     metrics = layers.compute(
         [layers.aggregate(tracer.measured())], worker_totals(delta),
         events,

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Tuple
 
 import common
 import layers
-from tracing import Tracer, worker_totals
+from tracing import Tracer, worker_totals, write_spans
 
 EXPERIMENT, SCALE, SHARDS, WARM_RERUNS = "E1", 0.05, 3, 10
 
@@ -186,7 +186,8 @@ def traced(workload: str, seed: int, seconds: int,
             dups += layers.count_duplicates(bench.store_files(out))
             bench.check_unit(unit, out, checks, corrupt)
             bench.drop(out)
-        tracer.write(common.result_path(f"spans-{workload}.jsonl"))
+        write_spans(tracer.measured(),
+                common.result_path(f"spans-{workload}.jsonl"))
         metrics = layers.compute(
             [layers.aggregate(tracer.measured())], worker_totals(delta),
             ledger.events,

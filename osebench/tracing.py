@@ -188,12 +188,9 @@ class Tracer:
         """Spans recorded inside measured units."""
         return [span for span in self.spans if span[6] is not None]
 
-    def write(self, path: Path) -> None:
-        """Write every measured span as one JSON line."""
-        write_spans(self.measured(), path)
-
 
 def write_spans(spans: List[Span], path: Path) -> None:
+    """Write each span as one JSON line."""
     with open(path, "w", encoding="utf-8") as handle:
         for span in spans:
             handle.write(json.dumps(list(span)) + "\n")
