@@ -12,6 +12,7 @@ import gc
 import glob
 import hashlib
 import json
+import math
 import os
 import platform
 import resource
@@ -182,24 +183,47 @@ def tail_percentile(samples: int) -> float:
     return min(99.0, 100.0 * (samples - 10) / samples)
 
 
+def grouped_median(groups: Sequence[Sequence[float]]) -> float:
+    """Geometric mean of each group's median latency.
+
+    A group is one operation class within one unit, a size the benchmark
+    fixes: one search's probes, one request class of one deck, or one
+    sweep's warm re-runs.  Every group weighs the same, so the figure does
+    not depend on how many operations of each class a run holds.  It
+    cannot jump between the clusters the classes form, and it moves in
+    proportion to the share of a run the host spends in a slow phase,
+    where a pooled median jumps to the slow mode once that share passes
+    one half.
+    """
+    medians = [statistics.median(group) for group in groups if group]
+    return math.exp(statistics.fmean(math.log(x) for x in medians))
+
+
 def end_to_end(setups: Sequence[float], walls: Sequence[float],
-               latencies: Sequence[float], p50: Optional[float] = None
+               groups: Sequence[Sequence[float]], peak_mb: float
                ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Any]]:
     """The end-to-end metric block every workload prints, and the
-    per-run details written beside it.  ``p50`` overrides the median of
-    ``latencies`` where the workload defines its median otherwise."""
+    per-run details written beside it.
+
+    ``groups`` holds the operation latencies by group (see
+    :func:`grouped_median`); the tail pools them.  ``peak_mb`` is read by
+    the caller after the last timed unit and before any check runs.
+    """
+    latencies = [x for group in groups for x in group]
     tail = tail_percentile(len(latencies))
-    if p50 is None:
-        p50 = percentile(latencies, 50)
     metrics = {
         "setup_s": {"value": statistics.median(setups), "unit": "s"},
         "wall_s": {"value": statistics.fmean(walls), "unit": "s"},
-        "latency_p50_ms": {"value": 1e3 * p50, "unit": "ms"},
+        "latency_p50_ms": {"value": 1e3 * grouped_median(groups),
+                           "unit": "ms"},
         "latency_tail_ms": {"value": 1e3 * percentile(latencies, tail),
                             "unit": "ms"},
-        "peak_rss_mb": {"value": peak_rss_mb(), "unit": "MB"},
+        "peak_rss_mb": {"value": peak_mb, "unit": "MB"},
     }
     details = {"setup_samples_s": list(setups), "unit_walls_s": list(walls),
+               "group_p50_ms": [1e3 * statistics.median(group)
+                                for group in groups if group],
+               "group_sizes": [len(group) for group in groups],
                "latency_samples": len(latencies),
                "latency_tail_percentile": tail}
     return metrics, details

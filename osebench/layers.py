@@ -15,6 +15,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from tracing import LAYERS, WORKER_LAYERS, Span
 
+#: The request classes of ``serve-mixed``, in deck order.
+SERVE_CLASSES = ("hit", "miss", "apply", "pair", "offline")
+
 #: ``(name, unit, better)`` of every per-layer metric, in print order.
 PER_LAYER: List[Tuple[str, str, str]] = []
 
@@ -62,6 +65,7 @@ for _name, _unit, _better in (
         ("serve.coalesced", "count", "higher"),
         ("serve.rejected", "count", "lower"),
         ("serve.offline_warm_hit_frac", "1", "higher"),
+        *((f"serve.{cls}.p50_ms", "ms", "lower") for cls in SERVE_CLASSES),
         ("trace.wall_s", "s", "lower"),
         ("trace.overhead_frac", "1", "lower"),
         ("unattributed_s", "s", "lower")):
@@ -184,7 +188,8 @@ def compute(processes: List[Dict[str, Any]], worker: Mapping[str, float],
     })
     for name in ("cache.dup_records", "serve.request.s", "serve.http.self_s",
                  "serve.coalesced", "serve.rejected",
-                 "serve.offline_warm_hit_frac"):
+                 "serve.offline_warm_hit_frac",
+                 *(f"serve.{cls}.p50_ms" for cls in SERVE_CLASSES)):
         values[name] = extra.get(name, 0.0)
     return {name: {"value": float(values[name]), "unit": unit}
             for name, unit, _ in PER_LAYER}

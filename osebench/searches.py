@@ -17,7 +17,6 @@ Every unit therefore runs 8 + 7 probes of 100 trials.
 
 from __future__ import annotations
 
-import statistics
 import time
 from typing import Any, Dict, List, Tuple
 
@@ -206,7 +205,10 @@ def measure(workload: str, seed: int, seconds: int,
     common.set_up_in_child(code)  # compiles bytecode; not a sample
     bench.warm_up()
     points = common.sample_points(common.SETUP_SAMPLES, bench.units)
-    setups, walls, per_search = [], [], []
+    setups, walls, outputs = [], [], []
+    # Probe latencies by search: the two families' probes form two
+    # clusters (at n=131072 about 0.2 s against 0.75 s).
+    per_search: List[List[float]] = []
     for unit in range(bench.units):
         while points and points[0] == unit:
             points.pop(0)
@@ -215,14 +217,13 @@ def measure(workload: str, seed: int, seconds: int,
         wall, results, lat, _ = bench.run_unit(unit)
         walls.append(wall)
         per_search.extend(lat)
+        outputs.append(results)
+    # Before the checks: they re-run probes in this process, and at large
+    # n on the serial engine, whose dense draws would set the peak.
+    peak = common.peak_rss_mb()
+    for unit, results in enumerate(outputs):
         bench.check_unit(unit, results, checks, corrupt)
-    # The two families' probes form two clusters (at n=131072 about 0.24 s
-    # against 0.74 s), and the pooled median sits at a cluster edge that
-    # moves with the probe-count parity.  So the median is taken per
-    # search, then across searches.
-    p50 = statistics.median(statistics.median(lat) for lat in per_search)
-    metrics, details = common.end_to_end(
-        setups, walls, [x for lat in per_search for x in lat], p50)
+    metrics, details = common.end_to_end(setups, walls, per_search, peak)
     return metrics, checks, details
 
 

@@ -2,20 +2,28 @@
 
 One client sends 100 requests per unit, each only after the previous
 reply (the server's callers are scripts that wait), against a server on a
-pre-populated probe store.  The seeded deck mixes:
+pre-populated probe store.  The seeded deck mixes five classes, 20
+requests each:
 
-* ``hit`` (70): ``failure_estimate`` probes already in the store;
-* ``miss`` (10): fresh spawn keys, so the server computes, appends and
-  logs (n = 2048, 32 trials);
-* ``apply`` (6): ``sketch_apply`` with a 2048 × 8 matrix body;
-* ``pair`` (4 pairs = 8 requests): the same fresh request sent at once
-  on two connections, which the single-flight gate should coalesce;
-* ``offline`` (6): before the unit the client computes the probe through
+* ``hit``: ``failure_estimate`` probes already in the store;
+* ``miss``: fresh spawn keys, so the server computes, appends and logs
+  (n = 2048, 32 trials);
+* ``apply``: ``sketch_apply`` with a 2048 × 8 matrix body;
+* ``pair`` (10 pairs): the same fresh request sent at once on two
+  connections, which the single-flight gate should coalesce;
+* ``offline``: before the unit the client computes the probe through
   the library into the server's cache directory, then asks the server.
   Today the server never re-reads its store (ROADMAP defect 5(b)), so
   these miss, recompute and append a duplicate record; the traced run
   reports that as ``serve.offline_warm_hit_frac`` and
   ``cache.dup_records``.
+
+No caller, document or ledger of the repository states how real traffic
+divides between these classes, so the equal shares are an assumption.
+They weigh no class above another.  ``latency_p50_ms`` is the geometric
+mean of each class's median in each deck, which does not depend on the
+shares, and the traced run prints each class's median as
+``serve.<class>.p50_ms``.
 
 Every result must equal, byte for byte, the offline API at the same seed
 and spawn key, and every response's cache tally must fit its class.
@@ -27,6 +35,7 @@ import http.client
 import json
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -44,15 +53,13 @@ N, D, REPS, EPSILON, TRIALS = 2048, 8, 2, 0.25, 32
 MS = (128, 256, 512)
 POOL = 40
 APPLY_COLS = 8
-#: Requests per class in one unit (a pair is two requests).  Hits are a
-#: clear majority, so the median request is a hit and not the boundary
-#: between hits and computed requests; the 6 % of large-body requests set
-#: the 99th percentile.
-MIX = (("hit", 70), ("miss", 10), ("apply", 6), ("pair", 4),
-       ("offline", 6))
+#: Steps per class in one unit; a pair step is two requests, so every
+#: class sends 20.  Equal shares are an assumption (see above).
+CLASSES = layers.SERVE_CLASSES
+MIX = tuple(zip(CLASSES, (20, 20, 20, 10, 20)))
 
 #: Nominal seconds of one unit; sets how many units a run holds.
-UNIT_S = 0.75
+UNIT_S = 1.6
 
 #: Spawn-key prefix of the pre-populated probes.
 POOL_KEY = 1_000_000
@@ -249,7 +256,7 @@ class ServeMixed:
     def run_unit(self, server: Server,
                  steps: List[Dict[str, Any]]) -> Dict[str, Any]:
         """Send the deck closed-loop; returns times and raw replies."""
-        latencies: List[float] = []
+        latencies: Dict[str, List[float]] = {cls: [] for cls in CLASSES}
         step_times: List[float] = []
         started = time.perf_counter()
         for step in steps:
@@ -272,8 +279,12 @@ class ServeMixed:
                 step["replies"] = [server.post(step["endpoint"],
                                                step["body"])]
             step_times.append(time.perf_counter() - t0)
-            latencies.extend(r[2] for r in step["replies"])
+            latencies[step["cls"]].extend(r[2] for r in step["replies"])
         ended = time.perf_counter()
+        # The checks need only the replies; the request bodies, 340 kB for
+        # an apply, would otherwise pile up in the client until they run.
+        for step in steps:
+            del step["body"]
         return {"wall": ended - started, "latencies": latencies,
                 "steps": step_times, "window": (started, ended)}
 
@@ -338,7 +349,7 @@ def measure(workload: str, seed: int, seconds: int,
     try:
         # First start compiles bytecode: not a sample.
         Server(bench.store_copy(), None).stop()
-        setups, walls, latencies = [], [], []
+        setups, outs, decks = [], [], []
         for segment in _segments(bench.units):
             server = Server(bench.store_copy(), None)
             setups.append(server.set_up_s)
@@ -347,14 +358,20 @@ def measure(workload: str, seed: int, seconds: int,
                     steps = bench.deck(unit)
                     bench.warm_offline(steps, server.store)
                     common.settle()
-                    out = bench.run_unit(server, steps)
-                    walls.append(out["wall"])
-                    latencies.extend(out["latencies"])
-                    bench.check_unit(steps, checks, corrupt and unit == 0,
-                                     tally)
+                    outs.append(bench.run_unit(server, steps))
+                    decks.append(steps)
             finally:
                 server.stop()
-        metrics, details = common.end_to_end(setups, walls, latencies)
+        # Every server has been waited for, and no check has run yet.
+        peak = common.peak_rss_mb()
+        for steps in decks:
+            bench.check_unit(steps, checks, corrupt and steps is decks[0],
+                             tally)
+        # One latency group per class and deck.
+        metrics, details = common.end_to_end(
+            setups, [out["wall"] for out in outs],
+            [out["latencies"][cls] for out in outs for cls in CLASSES],
+            peak)
         return metrics, checks, details
     finally:
         shutil.rmtree(bench.root, ignore_errors=True)
@@ -423,7 +440,11 @@ def traced(workload: str, seed: int, seconds: int,
              "serve.rejected": stats.get("requests_rejected", 0),
              "serve.offline_warm_hit_frac":
                  tally["offline_hits"] / tally["offline"]
-                 if tally["offline"] else 0.0},
+                 if tally["offline"] else 0.0,
+             # Per-class medians of the untraced pass.
+             **{f"serve.{cls}.p50_ms": 1e3 * statistics.median(
+                 [x for out in plain for x in out["latencies"][cls]])
+                for cls in CLASSES}},
         )
         return metrics, checks, {}
     finally:

@@ -21,11 +21,17 @@ import common
 import layers
 from tracing import Tracer, worker_totals, write_spans
 
-EXPERIMENT, SCALE, SHARDS, WARM_RERUNS = "E1", 0.05, 3, 10
+EXPERIMENT, SCALE, SHARDS, WARM_RERUNS = "E1", 0.05, 3, 20
 
-#: Nominal seconds of one unit (sweep plus warm re-runs); sets how many
-#: units a run of ``--seconds`` holds, independent of host speed.
-UNIT_S = 3.4
+#: Seconds of run length per unit; sets how many units a run of
+#: ``--seconds`` holds, independent of host speed.  A unit takes about
+#: 3.5 s, but the host runs this workload at two speeds, a factor of
+#: two apart, for a second or more at a time, so a run holds more units
+#: than its length alone would give.  With 20 re-runs per sweep the
+#: latency tail, the 92nd percentile of 120, falls among the slow
+#: speed's re-runs whenever a run meets it at all, instead of moving
+#: between the two speeds.
+UNIT_S = 2.7
 
 SET_UP = (
     "from repro.cache import ProbeCache\n"
@@ -59,9 +65,15 @@ class ShardReplay:
         self.root = common.fresh_dir("shard-replay")
 
     def run_unit(self, unit: int) -> Dict[str, Any]:
-        """One sweep plus its warm re-runs; returns times and outputs."""
+        """One sweep plus its warm re-runs; returns times and outputs.
+
+        Both run under an in-memory ledger in every pass: the traced run
+        reads its ``shard_round`` events, and the traced and untraced
+        passes must do the same work.
+        """
         from repro.cache import ProbeCache
         from repro.experiments.registry import run_experiment
+        from repro.observe.ledger import RunLedger, use_ledger
         from repro.shard import merged_dir, sharded_call
 
         directory = self.root / f"unit-{unit}"
@@ -71,22 +83,25 @@ class ShardReplay:
             return run_experiment(EXPERIMENT, scale=SCALE, rng=rng_seed,
                                   cache=cache, shard=shard)
 
-        started = time.perf_counter()
-        swept = sharded_call(sharded, SHARDS, directory)
-        wall = time.perf_counter() - started
+        ledger = RunLedger(None)
         warm_times, warm_outputs = [], []
-        for _ in range(WARM_RERUNS):
+        with use_ledger(ledger):
             started = time.perf_counter()
-            cache = ProbeCache(merged_dir(directory))
-            try:
-                warm = run_experiment(EXPERIMENT, scale=SCALE, rng=rng_seed,
-                                      cache=cache)
-            finally:
-                cache.close()
-            warm_times.append(time.perf_counter() - started)
-            warm_outputs.append(warm)
+            swept = sharded_call(sharded, SHARDS, directory)
+            wall = time.perf_counter() - started
+            for _ in range(WARM_RERUNS):
+                started = time.perf_counter()
+                cache = ProbeCache(merged_dir(directory))
+                try:
+                    warm = run_experiment(EXPERIMENT, scale=SCALE,
+                                          rng=rng_seed, cache=cache)
+                finally:
+                    cache.close()
+                warm_times.append(time.perf_counter() - started)
+                warm_outputs.append(warm)
         return {"wall": wall, "warm_times": warm_times, "swept": swept,
-                "warm": warm_outputs, "directory": directory}
+                "warm": warm_outputs, "directory": directory,
+                "events": ledger.events}
 
     def check_unit(self, unit: int, out: Dict[str, Any],
                    checks: common.Checks, corrupt: bool) -> None:
@@ -131,7 +146,7 @@ def measure(workload: str, seed: int, seconds: int,
     try:
         _set_up_sample(bench, -1)  # compiles bytecode; not a sample
         points = common.sample_points(common.SETUP_SAMPLES, bench.units)
-        setups, walls, latencies = [], [], []
+        setups, walls, outputs = [], [], []
         for unit in range(bench.units):
             while points and points[0] == unit:
                 points.pop(0)
@@ -139,10 +154,17 @@ def measure(workload: str, seed: int, seconds: int,
             common.settle()
             out = bench.run_unit(unit)
             walls.append(out["wall"])
-            latencies.extend(out["warm_times"])
-            bench.check_unit(unit, out, checks, corrupt)
             bench.drop(out)
-        metrics, details = common.end_to_end(setups, walls, latencies)
+            del out["events"]  # only the traced run reads them
+            outputs.append(out)
+        # Before the checks, which compute an unsharded E1 per unit here.
+        peak = common.peak_rss_mb()
+        for unit, out in enumerate(outputs):
+            bench.check_unit(unit, out, checks, corrupt)
+        # Each sweep's re-runs are one latency group: they run back to
+        # back, so they share the host's speed of the moment.
+        metrics, details = common.end_to_end(
+            setups, walls, [out["warm_times"] for out in outputs], peak)
         return metrics, checks, details
     finally:
         bench.close()
@@ -153,7 +175,6 @@ def traced(workload: str, seed: int, seconds: int,
                                    Dict[str, Any]]:
     """Untraced pass, then the same units traced; per-layer metrics."""
     from repro.observe.counters import counters
-    from repro.observe.ledger import RunLedger, use_ledger
 
     bench = ShardReplay(seed, seconds)
     checks = common.Checks()
@@ -165,19 +186,17 @@ def traced(workload: str, seed: int, seconds: int,
             untraced.append(out["wall"] + sum(out["warm_times"]))
             bench.drop(out)
         tracer = Tracer()
-        ledger = RunLedger(None)
         tracer.install()
         before = counters().snapshot()
         walls, outputs = [], []
         try:
-            with use_ledger(ledger):
-                for unit in range(bench.units):
-                    common.settle()
-                    tracer.unit = unit
-                    out = bench.run_unit(unit)
-                    tracer.unit = None
-                    walls.append(out["wall"] + sum(out["warm_times"]))
-                    outputs.append(out)
+            for unit in range(bench.units):
+                common.settle()
+                tracer.unit = unit
+                out = bench.run_unit(unit)
+                tracer.unit = None
+                walls.append(out["wall"] + sum(out["warm_times"]))
+                outputs.append(out)
         finally:
             tracer.uninstall()
         delta = counters().diff(before)
@@ -190,7 +209,7 @@ def traced(workload: str, seed: int, seconds: int,
                 common.result_path(f"spans-{workload}.jsonl"))
         metrics = layers.compute(
             [layers.aggregate(tracer.measured())], worker_totals(delta),
-            ledger.events,
+            [e for out in outputs for e in out["events"]],
             delta, sum(walls), sum(untraced),
             {"workers": 1, "cache.dup_records": dups},
         )
