@@ -24,8 +24,9 @@ tests certify that a warm re-run executed zero new trials.
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
-from typing import Any, Dict, NamedTuple, Optional, Sequence, Union
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..observe.counters import add_count
 from ..observe.ledger import emit_event
@@ -72,11 +73,14 @@ class ProbeCache:
         Cache directory; the record file is ``<directory>/probes.jsonl``.
         Created on first use.
 
-    The in-memory index is loaded once at construction; records appended
-    by *this* process are indexed as they are written.  Records appended
-    concurrently by another process become visible to a fresh
-    ``ProbeCache`` over the same directory (each CLI invocation opens its
-    own).
+    The in-memory index is loaded at construction; records appended by
+    *this* handle are indexed as they are written.  Records appended by
+    other handles or processes (a CLI sweep next to a running server, a
+    sibling shard pass) become visible on the next miss: before reporting
+    one, the handle reads the store from where it last stopped.  A store
+    that was replaced (another inode, or shorter than the read offset —
+    :func:`~repro.cache.merge.merge_stores` swaps its output in
+    atomically) is re-read whole.
     """
 
     FILENAME = "probes.jsonl"
@@ -85,10 +89,27 @@ class ProbeCache:
         self._directory = Path(directory)
         self._store = JsonlStore(self._directory / self.FILENAME)
         self._index: Dict[str, Dict[str, Any]] = {}
-        for record in self._store.load():
-            key = record.get("key")
-            if isinstance(key, str):
-                self._index[key] = record
+        self._offset = 0
+        self._identity: Optional[Tuple[int, int]] = None
+        self._lock = threading.Lock()
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Index the records appended to the store since the last read."""
+        with self._lock:
+            records, self._offset, identity = self._store.read_from(
+                self._offset, self._identity,
+            )
+            if identity != self._identity:
+                # A new, replaced or removed file: drop the stale index
+                # and any append descriptor open on a previous inode.
+                self._store.close()
+                self._index = {}
+                self._identity = identity
+            for record in records:
+                key = record.get("key")
+                if isinstance(key, str):
+                    self._index[key] = record
 
     @property
     def directory(self) -> Path:
@@ -108,6 +129,9 @@ class ProbeCache:
         """
         key = cache_key(kind, spec)
         record = self._index.get(key)
+        if record is None:
+            self._refresh()
+            record = self._index.get(key)
         if record is None:
             return None
         if record.get("spec") is not None and \
@@ -145,8 +169,9 @@ class ProbeCache:
             "value": value,
             "counters": stored_counters,
         }
-        self._index[key] = record
-        self._store.append(record)
+        with self._lock:  # never append while a refresh swaps files
+            self._index[key] = record
+            self._store.append(record)
         record_cache_event("cache_put", cache_kind=kind, key=key)
 
     def scoped(self, **extra: Any) -> "ScopedProbeCache":

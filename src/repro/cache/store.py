@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..utils.serialization import json_default
 
@@ -56,23 +56,52 @@ class JsonlStore:
         skipped; an unparseable *earlier* line raises, since that means
         corruption rather than an interrupted write.
         """
-        if not self._path.exists():
-            return []
-        lines = self._path.read_text(encoding="utf-8").splitlines()
+        return self.read_from(0)[0]
+
+    def read_from(self, offset: int,
+                  identity: Optional[Tuple[int, int]] = None
+                  ) -> Tuple[List[Dict[str, Any]], int,
+                             Optional[Tuple[int, int]]]:
+        """Records past byte ``offset``, the offset to resume at, and the
+        file's identity ``(st_dev, st_ino)`` (``None`` when missing).
+
+        ``identity`` is what an earlier call returned: a file that is
+        another one by now (replaced, as by ``merge_stores``' atomic
+        swap) or shorter than ``offset`` is read from byte 0.  Parses
+        exactly like :meth:`load`.  The returned offset only ever moves
+        past whole ``\\n``-terminated lines, so a torn or still-growing
+        final line is read again, complete, by the next call.
+        """
+        try:
+            handle = open(self._path, "rb")
+        except FileNotFoundError:
+            return [], 0, None
+        with handle:
+            stat = os.fstat(handle.fileno())
+            current = (stat.st_dev, stat.st_ino)
+            if current != identity or stat.st_size < offset:
+                offset = 0
+            handle.seek(offset)
+            data = handle.read()
+        lines = data.split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()  # the file ends with a complete line
         records: List[Dict[str, Any]] = []
         for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if number == len(lines):
-                    break
-                raise ValueError(
-                    f"{self._path}: unparseable cache line {number}: "
-                    f"{line[:80]!r}"
-                ) from None
-        return records
+            terminated = number < len(lines) or data.endswith(b"\n")
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError:
+                    if number == len(lines):
+                        break
+                    raise ValueError(
+                        f"{self._path}: unparseable cache line {number}: "
+                        f"{line[:80].decode('utf-8', 'replace')!r}"
+                    ) from None
+            if terminated:
+                offset += len(line) + 1
+        return records, offset, current
 
     def append(self, record: Dict[str, Any]) -> None:
         """Append one record; a no-op in forked child processes.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +83,14 @@ def _distortion_trial(family: SketchFamily, instance: HardInstance,
     scipy matrix assembly entirely; ``basis_image`` then runs on the
     matrix-free kernel (bit-identical to the materialized path).
     """
-    sketch_seed, draw_seed = seed.spawn(2)
+    return _pair_distortion(family, instance, fixed, *seed.spawn(2))
+
+
+def _pair_distortion(family: SketchFamily, instance: HardInstance,
+                     fixed: Optional[Sketch],
+                     sketch_seed: np.random.SeedSequence,
+                     draw_seed: np.random.SeedSequence) -> float:
+    """The distortion of ``ΠU`` for one trial's two child seeds."""
     sketch = fixed if fixed is not None \
         else sample_sketch(family, sketch_seed, lazy=True)
     draw = instance.sample_draw(draw_seed)
@@ -110,14 +117,8 @@ def _batched_trial_chunk(family: SketchFamily, instance: HardInstance,
     pairs = [seed.spawn(2) for seed in seeds]
     batch_kernel = family.sample_trial_batch([pair[0] for pair in pairs])
     if batch_kernel is None:
-        return [
-            float(distortion_of_product(
-                sample_sketch(family, sketch_seed, lazy=True).basis_image(
-                    instance.sample_draw(draw_seed)
-                )
-            ))
-            for sketch_seed, draw_seed in pairs
-        ]
+        return [float(_pair_distortion(family, instance, None, *pair))
+                for pair in pairs]
     draws = [instance.sample_support(pair[1]) for pair in pairs]
     return [float(value) for value in batch_kernel.distortions(draws)]
 
@@ -139,8 +140,8 @@ def _probe_spec(family: SketchFamily, instance: HardInstance,
                 fingerprint: Dict[str, Any], trials: int,
                 **params: Any) -> Dict[str, Any]:
     """Content-address spec for one probe: *what* is computed, and from
-    which stream state — never *how* (``workers``/``chunk_size`` excluded,
-    since results are bit-identical across execution strategies)."""
+    which stream state — never *how* (``workers`` excluded, since results
+    are bit-identical across execution strategies)."""
     return {
         "family": family.spec(),
         "instance": instance.spec(),
@@ -151,50 +152,37 @@ def _probe_spec(family: SketchFamily, instance: HardInstance,
     }
 
 
-def _shard_spec_of(spec: Dict[str, Any], shard: ShardSpec,
-                   span: Tuple[int, int]) -> Dict[str, Any]:
-    """The shard-partial content address: the parent spec plus the slice.
+def _run_trials(family: SketchFamily, instance: HardInstance,
+                fixed: Optional[Sketch],
+                seeds: Sequence[np.random.SeedSequence],
+                workers: Optional[int], batch: Optional[int]) -> List[float]:
+    """Run the trials of pre-derived seeds, one distortion per seed.
 
-    The merge CLI (:func:`repro.cache.merge.merge_stores`) recovers the
-    parent key by removing the ``"shard"`` field, so a folded group lands
-    on exactly the key a serial run would look up.
-    """
-    tagged = dict(spec)
-    tagged["shard"] = {
-        "count": shard.count, "index": shard.index,
-        "span": [int(span[0]), int(span[1])],
-    }
-    return tagged
-
-
-def _slice_distortions(family: SketchFamily, instance: HardInstance,
-                       fixed: Optional[Sketch],
-                       seeds: Sequence[np.random.SeedSequence],
-                       workers: Optional[int], chunk_size: Optional[int],
-                       batch: Optional[int], batched: bool) -> List[float]:
-    """Run one shard's contiguous slice of trials over pre-derived seeds.
-
-    Empty slices (more shards than work units) run nothing; the batched
-    engine keeps ``chunk_size=batch``, and since :func:`shard_spans`
-    aligns slice boundaries to ``batch`` multiples, the chunk
-    decomposition — and hence the batched arithmetic — matches the
-    serial run's exactly.
+    ``batch > 1`` runs the batched engine with the chunk decomposition
+    pinned to ``batch``; since :func:`shard_spans` aligns slice
+    boundaries to ``batch`` multiples, a shard's chunks — and hence the
+    batched arithmetic — match the serial run's exactly.  Otherwise each
+    trial runs :func:`_distortion_trial` (against ``fixed`` when given).
+    Empty seed lists (more shards than work units) run nothing.
     """
     if not seeds:
         return []
+    batched = batch is not None and batch > 1
+    executor = TrialExecutor(workers=workers,
+                             chunk_size=batch if batched else None)
     if batched:
-        executor = TrialExecutor(workers=workers, chunk_size=batch)
-        return [float(v) for v in executor.run_chunked(
+        values = executor.run_chunked(
             partial(_batched_trial_chunk, family, instance), seeds,
-        )]
-    executor = TrialExecutor(workers=workers, chunk_size=chunk_size)
-    return [float(v) for v in executor.run_seeded(
-        partial(_distortion_trial, family, instance, fixed), seeds,
-    )]
+        )
+    else:
+        values = executor.run_seeded(
+            partial(_distortion_trial, family, instance, fixed), seeds,
+        )
+    return [float(value) for value in values]
 
 
 def _shard_pending(probe: str, spec: Dict[str, Any], shard: ShardSpec,
-                   span: Tuple[int, int], computed: bool) -> ShardPending:
+                   span: List[int], computed: bool) -> ShardPending:
     """Mark one probe as awaiting a merge round; returns the exception.
 
     The ``shard_pending`` counter is how drivers (:mod:`repro.shard`)
@@ -205,12 +193,115 @@ def _shard_pending(probe: str, spec: Dict[str, Any], shard: ShardSpec,
     emit_event(
         "shard_partial" if computed else "shard_pending",
         probe=probe, m=spec.get("m"), trials=spec.get("trials"),
-        shard=shard.label, span=[int(span[0]), int(span[1])],
+        shard=shard.label, span=span,
     )
     return ShardPending(
         f"{probe} (m={spec.get('m')}, trials={spec.get('trials')}): shard "
-        f"{shard.label} slice {list(span)} stored, awaiting merge"
+        f"{shard.label} slice {span} stored, awaiting merge"
     )
+
+
+def _probe(kind: str, family: SketchFamily, instance: HardInstance,
+           trials: int, rng: RngLike, params: Dict[str, Any],
+           encode: Callable[[List[float]], Dict[str, Any]],
+           decode: Callable[[Dict[str, Any]], Any], *,
+           fresh_sketch: bool, workers: Optional[int],
+           cache: Optional[Any], batch: Optional[int],
+           shard: Optional[Any]) -> Any:
+    """The probe protocol behind :func:`failure_estimate` and
+    :func:`distortion_samples`: cache lookup, shard slice, execution, store.
+
+    ``encode`` turns a list of per-trial distortions (all trials, or one
+    shard's slice) into the cached record value; ``decode`` turns a
+    record value into the caller's result.  A miss returns
+    ``decode(encode(distortions))``, so hit and miss share one
+    construction.  ``params`` are the result-shaping call parameters that
+    enter the cache spec besides family, instance, ``m``, ``trials`` and
+    the seed fingerprint.
+    """
+    trials = check_positive_int(trials, "trials")
+    batch = _check_batch(batch, fresh_sketch)
+    batched = batch is not None and batch > 1
+    shard = normalize_shard(shard)
+    gen = as_generator(rng)
+    spec = None
+    if cache is not None:
+        fingerprint = seed_fingerprint(gen)
+        if fingerprint is not None:
+            if batched:
+                # The batched engine owns a different (canonical)
+                # accumulation order, so its results must not alias the
+                # serial path's; batch=1 delegates to the serial path and
+                # shares its entries.
+                params = dict(params, batch=batch)
+            spec = _probe_spec(family, instance, fingerprint, trials,
+                               **params)
+            hit = cache.get(kind, spec)
+            if hit is not None:
+                # Replay the computation's spawn consumption (one child
+                # for the fixed sketch, one per trial) and its counter
+                # delta, so the parent stream and metrics end up exactly
+                # where a cache miss would leave them.
+                spawn_seeds(gen, trials + (0 if fresh_sketch else 1))
+                counters().merge(hit.counters)
+                return decode(hit.value)
+    if shard is not None:
+        if spec is None:
+            raise ValueError(
+                "shard= requires cache= and a seed-backed rng: shard "
+                "partials are exchanged through the probe cache, keyed by "
+                "the seed fingerprint"
+            )
+        span = list(shard_spans(trials, shard.count,
+                                step=batch if batched else 1)[shard.index])
+        # The merge CLI (repro.cache.merge) recovers the parent key by
+        # dropping "shard", so a folded group lands on the serial key.
+        shard_spec = dict(spec, shard={
+            "count": shard.count, "index": shard.index, "span": span,
+        })
+        if cache.peek(kind, shard_spec) is not None:
+            # This shard's slice is already on disk (resume after a crash
+            # or a later round); only the merge is still outstanding.
+            raise _shard_pending(kind, spec, shard, span, computed=False)
+    # Every shard must sample the fixed sketch (trial seeds start at
+    # child 1), but exactly one delta — shard 0's, as in a serial run —
+    # may carry its cost, or the folded counters would overcount it.
+    fixed = None
+    before = counters().snapshot()
+    if not fresh_sketch:
+        fixed = sample_sketch(family, spawn(gen), lazy=True)
+        if shard is not None and shard.index > 0:
+            before = counters().snapshot()
+    if shard is not None:
+        seeds = spawn_slice(gen, *span, total=trials)
+        values = _run_trials(family, instance, fixed, seeds, workers, batch)
+        cache.put(kind, shard_spec, encode(values), counters().diff(before))
+        raise _shard_pending(kind, spec, shard, span, computed=True)
+    fields = {"batch": batch} if batched else {}
+    with trace(kind, m=family.m, trials=trials, **fields):
+        values = _run_trials(family, instance, fixed,
+                             spawn_seeds(gen, trials), workers, batch)
+    record = encode(values)
+    if spec is not None:
+        cache.put(kind, spec, record, counters().diff(before))
+    return decode(record)
+
+
+def _sanitized(label: str, call: Callable[..., Any], rng: RngLike,
+               workers: Optional[int], cache: Optional[Any],
+               shard: Optional[Any]) -> Any:
+    """Run ``call(rng, workers, cache)`` under the determinism sanitizer
+    (:func:`repro.sanitize.sanitized_rerun`)."""
+    if shard is not None:
+        raise ValueError(
+            "sanitized= cannot be combined with shard=: a shard pass "
+            "is a deliberately partial execution — sanitize the "
+            "merged serial replay instead (see repro.sanitize)"
+        )
+    from ..sanitize.runtime import sanitized_rerun
+
+    return sanitized_rerun(label, call, rng=rng, workers=workers,
+                           cache=cache)
 
 
 def failure_estimate(family: SketchFamily, instance: HardInstance,
@@ -218,7 +309,6 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
                      rng: RngLike = None,
                      fresh_sketch: bool = True,
                      workers: Optional[int] = 1,
-                     chunk_size: Optional[int] = None,
                      cache: Optional[Any] = None,
                      batch: Optional[int] = None,
                      shard: Optional[Any] = None,
@@ -255,7 +345,7 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     serial/parallel and cold/warm-cache runs at a fixed seed, but distinct
     from the serial stream at the ULP level, which is why the batch size
     enters the cache key.  Requires ``fresh_sketch=True``; the chunk
-    decomposition is pinned to ``batch`` (``chunk_size`` is ignored).
+    decomposition is pinned to ``batch``.
 
     ``shard`` (a :class:`~repro.utils.parallel.ShardSpec` or an
     ``(index, count)`` pair) runs this call as one worker of an N-way
@@ -279,142 +369,46 @@ def failure_estimate(family: SketchFamily, instance: HardInstance,
     merged replay instead).
     """
     if sanitized:
-        if shard is not None:
-            raise ValueError(
-                "sanitized= cannot be combined with shard=: a shard pass "
-                "is a deliberately partial execution — sanitize the "
-                "merged serial replay instead (see repro.sanitize)"
-            )
-        from ..sanitize.runtime import sanitized_rerun
-
-        return sanitized_rerun(
+        return _sanitized(
             "failure_estimate",
             lambda rng_, workers_, cache_: failure_estimate(
                 family, instance, epsilon, trials, rng_,
                 fresh_sketch=fresh_sketch, workers=workers_,
-                chunk_size=chunk_size, cache=cache_, batch=batch,
+                cache=cache_, batch=batch,
             ),
-            rng=rng, workers=workers, cache=cache,
+            rng, workers, cache, shard,
         )
     epsilon = check_epsilon(epsilon)
-    trials = check_positive_int(trials, "trials")
-    batch = _check_batch(batch, fresh_sketch)
-    batched = batch is not None and batch > 1
-    shard = normalize_shard(shard)
     if family.n != instance.n:
         raise ValueError(
             f"family ambient dimension ({family.n}) must match instance "
             f"({instance.n})"
         )
-    gen = as_generator(rng)
-    spec = None
-    if cache is not None:
-        fingerprint = seed_fingerprint(gen)
-        if fingerprint is not None:
-            params: Dict[str, Any] = dict(
-                epsilon=epsilon, fresh_sketch=fresh_sketch,
-            )
-            if batched:
-                # The batched engine owns a different (canonical)
-                # accumulation order, so its results must not alias the
-                # serial path's; batch=1 delegates to the serial path and
-                # shares its entries.
-                params["batch"] = batch
-            spec = _probe_spec(family, instance, fingerprint, trials,
-                               **params)
-            hit = cache.get("failure_estimate", spec)
-            if hit is not None:
-                # Replay the computation's spawn consumption (one child
-                # for the fixed sketch, one per trial) and its counter
-                # delta, so the parent stream and metrics end up exactly
-                # where a cache miss would leave them.
-                spawn_seeds(gen, trials + (0 if fresh_sketch else 1))
-                counters().merge(hit.counters)
-                return BernoulliEstimate(
-                    int(hit.value["successes"]), int(hit.value["trials"]),
-                    float(hit.value["confidence"]),
-                )
-    if shard is not None:
-        if spec is None:
-            raise ValueError(
-                "shard= requires cache= and a seed-backed rng: shard "
-                "partials are exchanged through the probe cache, keyed by "
-                "the seed fingerprint"
-            )
-        span = shard_spans(trials, shard.count,
-                           step=batch if batched else 1)[shard.index]
-        shard_spec = _shard_spec_of(spec, shard, span)
-        if cache.peek("failure_estimate", shard_spec) is not None:
-            # This shard's slice is already on disk (resume after a crash
-            # or a later round); only the merge is still outstanding.
-            raise _shard_pending("failure_estimate", spec, shard, span,
-                                 computed=False)
-        lo, hi = span
-        if fresh_sketch:
-            fixed = None
-            before = counters().snapshot()
-        elif shard.index == 0:
-            # Every shard must sample the fixed sketch (trial seeds start
-            # at child 1), but exactly one delta may carry its cost or the
-            # folded counters would overcount it (count - 1) times.
-            before = counters().snapshot()
-            fixed = sample_sketch(family, spawn(gen), lazy=True)
-        else:
-            fixed = sample_sketch(family, spawn(gen), lazy=True)
-            before = counters().snapshot()
-        seeds = spawn_slice(gen, lo, hi, total=trials)
-        distortions = _slice_distortions(
-            family, instance, fixed, seeds, workers, chunk_size,
-            batch, batched,
+
+    def encode(values: List[float]) -> Dict[str, Any]:
+        return {
+            "successes": sum(1 for value in values if value > epsilon),
+            "trials": len(values),
+            "confidence": BernoulliEstimate(0, 1).confidence,
+        }
+
+    def decode(value: Dict[str, Any]) -> BernoulliEstimate:
+        return BernoulliEstimate(
+            int(value["successes"]), int(value["trials"]),
+            float(value["confidence"]),
         )
-        cache.put(
-            "failure_estimate", shard_spec,
-            {
-                "successes": sum(1 for v in distortions if v > epsilon),
-                "trials": hi - lo,
-                "confidence": BernoulliEstimate(0, 1).confidence,
-            },
-            counters().diff(before),
-        )
-        raise _shard_pending("failure_estimate", spec, shard, span,
-                             computed=True)
-    before = counters().snapshot() if spec is not None else {}
-    if batched:
-        executor = TrialExecutor(workers=workers, chunk_size=batch)
-        with trace("failure_estimate", m=family.m, trials=trials,
-                   batch=batch):
-            distortions = executor.run_chunked(
-                partial(_batched_trial_chunk, family, instance),
-                spawn_seeds(gen, trials),
-            )
-    else:
-        fixed = None if fresh_sketch \
-            else sample_sketch(family, spawn(gen), lazy=True)
-        executor = TrialExecutor(workers=workers, chunk_size=chunk_size)
-        with trace("failure_estimate", m=family.m, trials=trials):
-            distortions = executor.run(
-                partial(_distortion_trial, family, instance, fixed),
-                trials, gen,
-            )
-    failures = sum(1 for value in distortions if value > epsilon)
-    estimate = BernoulliEstimate(failures, trials)
-    if spec is not None:
-        cache.put(
-            "failure_estimate", spec,
-            {
-                "successes": estimate.successes,
-                "trials": estimate.trials,
-                "confidence": estimate.confidence,
-            },
-            counters().diff(before),
-        )
-    return estimate
+
+    return _probe(
+        "failure_estimate", family, instance, trials, rng,
+        dict(epsilon=epsilon, fresh_sketch=fresh_sketch), encode, decode,
+        fresh_sketch=fresh_sketch, workers=workers, cache=cache,
+        batch=batch, shard=shard,
+    )
 
 
 def distortion_samples(family: SketchFamily, instance: HardInstance,
                        trials: int, rng: RngLike = None,
                        workers: Optional[int] = 1,
-                       chunk_size: Optional[int] = None,
                        cache: Optional[Any] = None,
                        batch: Optional[int] = None,
                        shard: Optional[Any] = None,
@@ -437,90 +431,21 @@ def distortion_samples(family: SketchFamily, instance: HardInstance,
     :func:`failure_estimate` (incompatible with ``shard=``).
     """
     if sanitized:
-        if shard is not None:
-            raise ValueError(
-                "sanitized= cannot be combined with shard=: a shard pass "
-                "is a deliberately partial execution — sanitize the "
-                "merged serial replay instead (see repro.sanitize)"
-            )
-        from ..sanitize.runtime import sanitized_rerun
-
-        return sanitized_rerun(
+        return _sanitized(
             "distortion_samples",
             lambda rng_, workers_, cache_: distortion_samples(
                 family, instance, trials, rng_, workers=workers_,
-                chunk_size=chunk_size, cache=cache_, batch=batch,
+                cache=cache_, batch=batch,
             ),
-            rng=rng, workers=workers, cache=cache,
+            rng, workers, cache, shard,
         )
-    trials = check_positive_int(trials, "trials")
-    batch = _check_batch(batch, fresh_sketch=True)
-    batched = batch is not None and batch > 1
-    shard = normalize_shard(shard)
-    gen = as_generator(rng)
-    spec = None
-    if cache is not None:
-        fingerprint = seed_fingerprint(gen)
-        if fingerprint is not None:
-            params = {"batch": batch} if batched else {}
-            spec = _probe_spec(family, instance, fingerprint, trials,
-                               **params)
-            hit = cache.get("distortion_samples", spec)
-            if hit is not None:
-                spawn_seeds(gen, trials)
-                counters().merge(hit.counters)
-                return np.asarray(hit.value["values"], dtype=float)
-    if shard is not None:
-        if spec is None:
-            raise ValueError(
-                "shard= requires cache= and a seed-backed rng: shard "
-                "partials are exchanged through the probe cache, keyed by "
-                "the seed fingerprint"
-            )
-        span = shard_spans(trials, shard.count,
-                           step=batch if batched else 1)[shard.index]
-        shard_spec = _shard_spec_of(spec, shard, span)
-        if cache.peek("distortion_samples", shard_spec) is not None:
-            raise _shard_pending("distortion_samples", spec, shard, span,
-                                 computed=False)
-        lo, hi = span
-        before = counters().snapshot()
-        seeds = spawn_slice(gen, lo, hi, total=trials)
-        values = _slice_distortions(
-            family, instance, None, seeds, workers, chunk_size,
-            batch, batched,
-        )
-        cache.put(
-            "distortion_samples", shard_spec,
-            {"values": values},
-            counters().diff(before),
-        )
-        raise _shard_pending("distortion_samples", spec, shard, span,
-                             computed=True)
-    before = counters().snapshot() if spec is not None else {}
-    if batched:
-        executor = TrialExecutor(workers=workers, chunk_size=batch)
-        with trace("distortion_samples", m=family.m, trials=trials,
-                   batch=batch):
-            values = executor.run_chunked(
-                partial(_batched_trial_chunk, family, instance),
-                spawn_seeds(gen, trials),
-            )
-    else:
-        executor = TrialExecutor(workers=workers, chunk_size=chunk_size)
-        with trace("distortion_samples", m=family.m, trials=trials):
-            values = executor.run(
-                partial(_distortion_trial, family, instance, None),
-                trials, gen,
-            )
-    samples = np.asarray(values, dtype=float)
-    if spec is not None:
-        cache.put(
-            "distortion_samples", spec,
-            {"values": [float(value) for value in samples]},
-            counters().diff(before),
-        )
-    return samples
+    return _probe(
+        "distortion_samples", family, instance, trials, rng, {},
+        lambda values: {"values": values},
+        lambda value: np.asarray(value["values"], dtype=float),
+        fresh_sketch=True, workers=workers, cache=cache, batch=batch,
+        shard=shard,
+    )
 
 
 @dataclass
@@ -574,7 +499,6 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
               decision: str = "point",
               rng: RngLike = None,
               workers: Optional[int] = 1,
-              chunk_size: Optional[int] = None,
               cache: Optional[Any] = None,
               batch: Optional[int] = None,
               shard: Optional[Any] = None,
@@ -648,23 +572,15 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
     cache-off.
     """
     if sanitized:
-        if shard is not None:
-            raise ValueError(
-                "sanitized= cannot be combined with shard=: a shard pass "
-                "is a deliberately partial execution — sanitize the "
-                "merged serial replay instead (see repro.sanitize)"
-            )
-        from ..sanitize.runtime import sanitized_rerun
-
-        return sanitized_rerun(
+        return _sanitized(
             "minimal_m",
             lambda rng_, workers_, cache_: minimal_m(
                 family, instance, epsilon, delta, trials=trials,
                 m_min=m_min, m_max=m_max, growth=growth,
                 decision=decision, rng=rng_, workers=workers_,
-                chunk_size=chunk_size, cache=cache_, batch=batch,
+                cache=cache_, batch=batch,
             ),
-            rng=rng, workers=workers, cache=cache,
+            rng, workers, cache, shard,
         )
     epsilon = check_epsilon(epsilon)
     delta = check_probability(delta, "delta")
@@ -711,60 +627,32 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
     def probe(m: int, phase: str) -> Optional[bool]:
         started = time.perf_counter()
         fam = family.with_m(m)
-        known = probed.get(fam.m)
-        if known is not None:
-            # Aliased probe: this requested m rounds to an effective
-            # dimension already measured.  Reuse the estimate — no trials,
-            # no RNG consumption — and record only a ledger event.
-            ok = passes(known)
-            emit_event(
-                "probe", m=fam.m, requested=m, successes=known.successes,
-                trials=known.trials, decision=decision, passed=ok,
-                phase=phase, aliased=True,
-                elapsed=time.perf_counter() - started,
-            )
-            return ok
-        try:
-            est = failure_estimate(
-                fam, instance, epsilon, trials, spawn(gen),
-                workers=workers, chunk_size=chunk_size, cache=probe_cache,
-                **probe_kwargs,
-            )
-        except ShardPending:
-            # Sharded search: this probe is not resolvable yet — our
-            # slice is stored, the search stops until the next merge.
-            result.pending = True
-            return None
-        probed[fam.m] = est
-        result.evaluations.append((fam.m, est))
+        est = probed.get(fam.m)
+        # An aliased probe (this requested m rounds to an effective
+        # dimension already measured) reuses the estimate — no trials,
+        # no RNG consumption — and records only a ledger event.
+        aliased = est is not None
+        if est is None:
+            try:
+                est = failure_estimate(
+                    fam, instance, epsilon, trials, spawn(gen),
+                    workers=workers, cache=probe_cache,
+                    **probe_kwargs,
+                )
+            except ShardPending:
+                # Sharded search: this probe is not resolvable yet — our
+                # slice is stored, the search stops until the next merge.
+                result.pending = True
+                return None
+            probed[fam.m] = est
+            result.evaluations.append((fam.m, est))
         ok = passes(est)
         emit_event(
             "probe", m=fam.m, requested=m, successes=est.successes,
             trials=est.trials, decision=decision, passed=ok, phase=phase,
-            aliased=False, elapsed=time.perf_counter() - started,
+            aliased=aliased, elapsed=time.perf_counter() - started,
         )
         return ok
-
-    # Clamp the schedule so rounding can never push a probe's effective
-    # dimension past m_max: m_cap is the largest requested value whose
-    # rounded dimension still fits (with_m is monotone nondecreasing).
-    if effective(m_min) > m_max:
-        emit_event(
-            "minimal_m_start", m_min=m_min, m_max=m_max, growth=growth,
-            decision=decision, epsilon=epsilon, delta=delta, trials=trials,
-        )
-        emit_event(
-            "minimal_m_end", m_star=None, found=False, probes=0, elapsed=0.0,
-        )
-        return result
-    lo_cap, hi_cap = m_min, m_max
-    while lo_cap < hi_cap:
-        mid_cap = (lo_cap + hi_cap + 1) // 2
-        if effective(mid_cap) <= m_max:
-            lo_cap = mid_cap
-        else:
-            hi_cap = mid_cap - 1
-    m_cap = lo_cap
 
     search_started = time.perf_counter()
     emit_event(
@@ -772,6 +660,21 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
         decision=decision, epsilon=epsilon, delta=delta, trials=trials,
     )
     try:
+        # Clamp the schedule so rounding can never push a probe's
+        # effective dimension past m_max: m_cap is the largest requested
+        # value whose rounded dimension still fits (with_m is monotone
+        # nondecreasing).
+        if effective(m_min) > m_max:
+            return result
+        lo_cap, hi_cap = m_min, m_max
+        while lo_cap < hi_cap:
+            mid_cap = (lo_cap + hi_cap + 1) // 2
+            if effective(mid_cap) <= m_max:
+                lo_cap = mid_cap
+            else:
+                hi_cap = mid_cap - 1
+        m_cap = lo_cap
+
         # Exponential phase; the final probe is clamped to m_cap so the
         # geometric schedule can never skip past it unprobed, nor round
         # past m_max.
@@ -791,14 +694,11 @@ def minimal_m(family: SketchFamily, instance: HardInstance, epsilon: float,
             m = min(max(int(np.ceil(m * growth)), m + 1), m_cap)
         if first_pass is None:
             return result
-        if last_fail is None:
-            # Passed already at m_min — it is the minimum within search range.
-            result.m_star = effective(first_pass)
-            return result
 
-        # Bisection phase between last_fail (fails) and first_pass (passes).
+        # Bisection phase between last_fail (fails) and first_pass
+        # (passes); a pass already at m_min is the minimum in range.
         lo, hi = last_fail, first_pass
-        while hi - lo > max(1, lo // 20):
+        while lo is not None and hi - lo > max(1, lo // 20):
             mid = (lo + hi) // 2
             verdict = probe(mid, "bisection")
             if verdict is None:

@@ -17,8 +17,14 @@ with sorted keys and ``allow_nan=False``, so a response's bytes are a
 deterministic function of its payload — the property the warm-cache
 byte-identity checks rely on.
 
+The request line and headers must arrive within
+:data:`HEAD_TIMEOUT_S` seconds of connecting (else 408) and may carry at
+most :data:`MAX_HEADERS` header lines (else 400), so a slow or idle
+client cannot hold a connection open indefinitely.
+
 Shutdown is graceful: :meth:`ServeHTTP.shutdown` stops the listener,
-lets every accepted connection finish (in-flight computations drain via
+closes connections that have not yet sent a complete request head, lets
+every other accepted connection finish (in-flight computations drain via
 the single-flight gate), then closes the service.
 """
 
@@ -33,14 +39,19 @@ from .flight import Draining, Overloaded
 from .params import BadRequest
 from .service import ENDPOINTS, EstimationService
 
-__all__ = ["ServeHTTP", "encode_body"]
+__all__ = ["HEAD_TIMEOUT_S", "MAX_HEADERS", "ServeHTTP", "encode_body"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Seconds a connection may take to send its request line and headers.
+HEAD_TIMEOUT_S = 10.0
+#: Header lines accepted in one request head.
+MAX_HEADERS = 100
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -63,6 +74,9 @@ class ServeHTTP:
         self._port = port
         self._server: Optional["asyncio.base_events.Server"] = None
         self._connections: Set["asyncio.Task[None]"] = set()
+        # Connections still waiting for their request head; shutdown
+        # closes these instead of waiting on them.
+        self._awaiting_head: Set["asyncio.Task[None]"] = set()
 
     @property
     def service(self) -> EstimationService:
@@ -89,9 +103,15 @@ class ServeHTTP:
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain connections and computations, close."""
+        """Stop accepting, drain connections and computations, close.
+
+        Connections that have not sent a complete request head are
+        closed at once rather than awaited.
+        """
         if self._server is not None:
             self._server.close()
+            for task in list(self._awaiting_head):
+                task.cancel()
             await self._server.wait_closed()
             self._server = None
         while self._connections:
@@ -122,23 +142,26 @@ class ServeHTTP:
 
     async def _handle_request(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
-        request_line = (await reader.readline()).decode(
-            "latin-1").rstrip("\r\n")
-        if not request_line:
+        task = asyncio.current_task()
+        if task is not None:
+            self._awaiting_head.add(task)
+        try:
+            head = await asyncio.wait_for(_read_head(reader), HEAD_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            await self._respond(writer, 408, {
+                "error": f"request head not received within "
+                         f"{HEAD_TIMEOUT_S:g} s",
+            })
             return
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            await self._respond(writer, 400,
-                                {"error": "malformed request line"})
+        except BadRequest as exc:
+            await self._respond(writer, 400, {"error": str(exc)})
             return
-        method, path, _version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+        finally:
+            if task is not None:
+                self._awaiting_head.discard(task)
+        if head is None:
+            return
+        method, path, headers = head
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
@@ -213,3 +236,36 @@ class ServeHTTP:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
+
+
+async def _read_head(reader: asyncio.StreamReader
+                     ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+    """Read the request line and headers: ``(method, path, headers)``.
+
+    Returns ``None`` when the peer closed without sending a request line;
+    raises :class:`BadRequest` for a malformed or over-long line or more
+    than :data:`MAX_HEADERS` headers.
+    """
+    request_line = (await _read_line(reader)).rstrip("\r\n")
+    if not request_line:
+        return None
+    parts = request_line.split(" ")
+    if len(parts) != 3:
+        raise BadRequest("malformed request line")
+    method, path, _version = parts
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = await _read_line(reader)
+        if line in ("\r\n", "\n", ""):
+            return method, path, headers
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise BadRequest(f"more than {MAX_HEADERS} request headers")
+
+
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    """One head line; a line past the reader's buffer limit is a 400."""
+    try:
+        return (await reader.readline()).decode("latin-1")
+    except ValueError:
+        raise BadRequest("request line or header too long") from None

@@ -17,8 +17,14 @@ from repro.cache import (
     ProbeCache,
     cache_key,
     canonical_json,
+    merge_stores,
 )
-from repro.core.tester import distortion_samples, failure_estimate, minimal_m
+from repro.core.tester import (
+    ShardPending,
+    distortion_samples,
+    failure_estimate,
+    minimal_m,
+)
 from repro.hardinstances.dbeta import DBeta
 from repro.observe.counters import counters
 from repro.observe.ledger import RunLedger
@@ -172,6 +178,95 @@ class TestProbeCacheStore:
         hit = ProbeCache(tmp_path).get("k", {"x": 1})
         assert hit is not None and hit.value == {"v": 2}
 
+    def test_other_handles_records_visible_on_miss(self, tmp_path):
+        # Regression: a handle used to index the store only when opened,
+        # so a server never saw what a CLI sweep appended later.
+        reader = ProbeCache(tmp_path)
+        assert reader.get("k", {"x": 1}) is None
+        ProbeCache(tmp_path).put("k", {"x": 1}, {"v": 2}, {"trials": 5})
+        hit = reader.get("k", {"x": 1})
+        assert hit is not None and hit.value == {"v": 2}
+        assert hit.counters == {"trials": 5}
+        assert len(reader) == 1
+
+    def test_replaced_store_is_reloaded_whole(self, tmp_path):
+        # merge_stores swaps its output in with os.replace: a new inode,
+        # possibly shorter than the old file, must be re-read from byte 0.
+        cache = ProbeCache(tmp_path)
+        cache.put("k", {"x": 1}, {"v": 1})
+        cache.put("k", {"x": 2}, {"v": 2})
+        other = tmp_path / "other"
+        ProbeCache(other).put("k", {"x": 3}, {"v": 3})
+        (other / ProbeCache.FILENAME).replace(cache.path)
+        assert cache.get("k", {"x": 3}).value == {"v": 3}
+        assert cache.get("k", {"x": 1}) is None
+        assert len(cache) == 1
+        # Appends after the swap land in the new file, not the old inode.
+        cache.put("k", {"x": 4}, {"v": 4})
+        assert ProbeCache(tmp_path).get("k", {"x": 4}).value == {"v": 4}
+
+    def test_torn_tail_is_read_once_complete(self, tmp_path):
+        cache = ProbeCache(tmp_path)
+        cache.put("k", {"x": 1}, {"v": 1})
+        line = JsonlStore(cache.path).load()[0]
+        line.update(key=cache_key("k", {"x": 2}), spec={"x": 2},
+                    value={"v": 2})
+        text = json.dumps(line, sort_keys=True) + "\n"
+        with open(cache.path, "a", encoding="utf-8") as handle:
+            handle.write(text[:20])
+        assert cache.get("k", {"x": 2}) is None  # torn: not consumed
+        with open(cache.path, "a", encoding="utf-8") as handle:
+            handle.write(text[20:])
+        assert cache.get("k", {"x": 2}).value == {"v": 2}
+
+    def test_threads_sharing_a_handle_lose_no_records(self, tmp_path):
+        # A server shares one handle across compute threads while other
+        # processes append: every put and every foreign record must end
+        # up both indexed and on disk exactly once.
+        import sys
+        import threading
+
+        shared = ProbeCache(tmp_path)  # opened before the file exists
+        writer = ProbeCache(tmp_path)
+        threads, per_thread = 6, 40
+
+        def work(worker):
+            for i in range(per_thread):
+                spec = {"worker": worker, "i": i}
+                if shared.get("k", {"foreign": worker, "i": i}) is None:
+                    shared.put("k", spec, {"v": i})
+                if worker == 0:
+                    writer.put("k", {"foreign": 0, "i": i}, {"v": i})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(worker,))
+                    for worker in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for worker in range(threads):
+            for i in range(per_thread):
+                assert shared.get("k", {"worker": worker, "i": i}) is not None
+        for i in range(per_thread):
+            assert shared.get("k", {"foreign": 0, "i": i}) is not None
+        keys = [record["key"] for record in JsonlStore(shared.path).load()]
+        assert len(keys) == len(set(keys)) == (threads + 1) * per_thread
+
+    def test_refreshed_record_spec_is_rechecked(self, tmp_path):
+        cache = ProbeCache(tmp_path)
+        assert cache.get("k", {"x": 1}) is None
+        forged = {"key": cache_key("k", {"x": 1}), "kind": "k",
+                  "spec": {"x": 99}, "value": {}, "counters": {}}
+        JsonlStore(cache.path).append(forged)
+        with pytest.raises(ValueError, match="corruption"):
+            cache.get("k", {"x": 1})
+
     def test_scoped_view_separates_keys(self, tmp_path):
         cache = ProbeCache(tmp_path)
         point = cache.scoped(search="minimal_m", decision="point")
@@ -314,6 +409,66 @@ class TestBatchCacheKeys:
         assert delta.get("cache_miss") == 1
         assert "cache_hit" not in delta
         assert len(cache) == 2  # batched entry stored beside the serial one
+
+
+def _stored_key(cache):
+    """The key of the one full (non-shard-partial) record in ``cache``."""
+    [record] = [record for record in JsonlStore(cache.path).load()
+                if "shard" not in record["spec"]]
+    return record["key"]
+
+
+class TestCacheSpecInvariant:
+    """The invariant behind lint rule RPL102, checked end to end: every
+    input that shapes a probe's result enters its cache key, and no
+    execution-only setting does."""
+
+    def _key(self, directory, m=40, epsilon=0.5, trials=12, seed=7,
+             decision=None, shard=None, **kwargs):
+        family = CountSketch(m=m, n=64)
+        rng = np.random.default_rng(seed)
+        if decision is not None:
+            cache = ProbeCache(directory)
+            minimal_m(family, _instance(), epsilon, 0.5, trials=trials,
+                      m_min=m, m_max=m, decision=decision, rng=rng,
+                      cache=cache, **kwargs)
+            return _stored_key(cache)
+        if shard is None:
+            cache = ProbeCache(directory)
+            failure_estimate(family, _instance(), epsilon, trials, rng,
+                             cache=cache, **kwargs)
+            return _stored_key(cache)
+        for index in range(shard):
+            with pytest.raises(ShardPending):
+                failure_estimate(
+                    family, _instance(), epsilon, trials,
+                    np.random.default_rng(seed),
+                    cache=ProbeCache(directory / f"shard{index}"),
+                    shard=(index, shard), **kwargs,
+                )
+        merge_stores([directory / f"shard{index}"
+                      for index in range(shard)], directory / "merged")
+        return _stored_key(ProbeCache(directory / "merged"))
+
+    @pytest.mark.parametrize("base,variant,changes_key", [
+        pytest.param({}, {"epsilon": 0.4}, True, id="epsilon"),
+        pytest.param({}, {"fresh_sketch": False}, True, id="fresh_sketch"),
+        pytest.param({}, {"trials": 13}, True, id="trials"),
+        pytest.param({}, {"m": 48}, True, id="m"),
+        pytest.param({}, {"batch": 4}, True, id="batch4"),
+        pytest.param({}, {"seed": 8}, True, id="seed-fingerprint"),
+        pytest.param({"decision": "point"}, {"decision": "confident_pass"},
+                     True, id="minimal_m-decision"),
+        pytest.param({}, {"workers": 2}, False, id="workers"),
+        pytest.param({}, {"batch": None}, False, id="batch-None"),
+        pytest.param({}, {"batch": 1}, False, id="batch1"),
+        pytest.param({}, {"shard": 3}, False, id="shard-folded"),
+    ])
+    def test_key_tracks_result_shaping_inputs_only(self, tmp_path, base,
+                                                   variant, changes_key):
+        reference = self._key(tmp_path / "base", **base)
+        other = self._key(tmp_path / "variant", **variant)
+        assert (other != reference) == changes_key
 
 
 class TestMinimalMWarmStart:

@@ -21,7 +21,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cache import ProbeCache
+from repro.cache import JsonlStore, ProbeCache
 from repro.core.tester import failure_estimate, minimal_m
 from repro.hardinstances import DBeta, MixtureInstance, PermutedIdentity
 from repro.observe.ledger import read_events
@@ -37,6 +37,7 @@ from repro.serve import (
     family_from_spec,
     instance_from_spec,
 )
+from repro.serve.http import MAX_HEADERS
 from repro.sketch import CountSketch, OSNAP
 from repro.utils.rng import seed_fingerprint
 
@@ -237,6 +238,31 @@ class TestServiceIdentity:
             service.handle("failure_estimate", ESTIMATE_REQUEST)
         )
         assert response["cache"] == {"hits": 1, "misses": 0}
+        service.close()
+
+    def test_offline_write_while_running_is_a_hit(self, tmp_path):
+        # The server's cache handle is already open (and has missed) when
+        # an offline run appends the probe; the next request must hit it
+        # instead of recomputing and appending a duplicate record.
+        service = EstimationService(tmp_path / "cache")
+        other = asyncio.run(service.handle(
+            "failure_estimate", dict(ESTIMATE_REQUEST, trials=41),
+        ))
+        assert other["cache"] == {"hits": 0, "misses": 1}
+        cache = ProbeCache(tmp_path / "cache")
+        offline = failure_estimate(
+            CountSketch(16, 64), PermutedIdentity(64, 4), 0.5, 40, rng=0,
+            cache=cache,
+        )
+        cache.close()
+        response = asyncio.run(
+            service.handle("failure_estimate", ESTIMATE_REQUEST)
+        )
+        assert response["cache"] == {"hits": 1, "misses": 0}
+        assert response["result"]["successes"] == offline.successes
+        keys = [record["key"] for record in
+                JsonlStore(service.cache.path).load()]
+        assert len(keys) == len(set(keys)) == 2
         service.close()
 
     def test_minimal_m_matches_offline(self, tmp_path):
@@ -479,6 +505,73 @@ class TestHTTP:
         asyncio.run(
             self._with_server(tmp_path, check, max_inflight=1)
         )
+
+    @staticmethod
+    async def _raw_exchange(server, request):
+        """Send raw bytes on a fresh connection; return all reply bytes."""
+        host, port = server.address
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(request)
+        await writer.drain()
+        try:
+            return await asyncio.wait_for(reader.read(), timeout=10)
+        finally:
+            writer.close()
+
+    def test_idle_client_does_not_block_shutdown(self, tmp_path):
+        # Regression: a client that connects and sends nothing used to
+        # hold shutdown() open with no limit.
+        async def scenario():
+            server = ServeHTTP(EstimationService(tmp_path / "cache"))
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            for _ in range(500):
+                if server._awaiting_head:
+                    break
+                await asyncio.sleep(0.01)
+            assert server._awaiting_head
+            await asyncio.wait_for(server.shutdown(), timeout=5)
+            try:
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+            except ConnectionResetError:
+                pass
+            writer.close()
+
+        asyncio.run(scenario())
+
+    def test_request_head_deadline_answers_408(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.http.HEAD_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            server = ServeHTTP(EstimationService(tmp_path / "cache"))
+            await server.start()
+            try:
+                reply = await self._raw_exchange(server, b"GET /healthz")
+            finally:
+                await server.shutdown()
+            assert reply.startswith(b"HTTP/1.1 408 ")
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("count,width,status", [
+        (MAX_HEADERS, 1, b"200"),
+        (MAX_HEADERS + 1, 1, b"400"),
+        (1, 70_000, b"400"),  # one line past the reader's 64 KiB limit
+    ])
+    def test_request_head_limits(self, tmp_path, count, width, status):
+        headers = b"".join(b"X-Pad-%d: %s\r\n" % (i, b"x" * width)
+                           for i in range(count))
+        request = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+
+        async def scenario():
+            server = ServeHTTP(EstimationService(tmp_path / "cache"))
+            await server.start()
+            try:
+                return await self._raw_exchange(server, request)
+            finally:
+                await server.shutdown()
+
+        assert asyncio.run(scenario()).startswith(b"HTTP/1.1 " + status)
 
     def test_server_ledger_summarizes(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
